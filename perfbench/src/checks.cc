@@ -231,11 +231,13 @@ const char* TpccProtocol::Check(int, const Tag& tag, std::string_view response) 
   if (tag.flag != 0 && status != zygos::TpccWireStatus::kUserAbort) {
     return "requested NewOrder rollback was not rolled back";
   }
+  bool new_order = tag.kind == static_cast<uint8_t>(zygos::TpccTxnType::kNewOrder);
   // A NewOrder that raced another on its district's next order id can come back as a
   // user abort too (an insert that finds the order id taken ends the transaction
-  // instead of retrying it); it is a clean rollback, so it counts as answered.
-  if (status == zygos::TpccWireStatus::kUserAbort &&
-      tag.kind == static_cast<uint8_t>(zygos::TpccTxnType::kNewOrder)) {
+  // instead of retrying it); it is a clean rollback, so it counts as answered, and
+  // CheckUnrequestedAborts bounds how many there may be.
+  if (status == zygos::TpccWireStatus::kUserAbort && new_order) {
+    new_orders_++;
     user_aborts_++;
     unrequested_aborts_ += tag.flag == 0 ? 1 : 0;
     return nullptr;
@@ -247,8 +249,19 @@ const char* TpccProtocol::Check(int, const Tag& tag, std::string_view response) 
     return status == zygos::TpccWireStatus::kMalformed ? "TPC-C request refused as malformed"
                                                       : kAborted[tag.kind];
   }
+  new_orders_ += new_order ? 1 : 0;
   commits_++;
   return nullptr;
+}
+
+std::string TpccProtocol::CheckUnrequestedAborts() const {
+  if (static_cast<double>(unrequested_aborts_) <=
+      kMaxUnrequestedAbortShare * static_cast<double>(new_orders_)) {
+    return "";
+  }
+  return std::to_string(unrequested_aborts_) + " of " + std::to_string(new_orders_) +
+         " NewOrders rolled back unasked, above the " +
+         std::to_string(kMaxUnrequestedAbortShare) + " share allowed";
 }
 
 // ---------------------------------------------------------------------------------

@@ -72,9 +72,19 @@ void SpinEcho(std::string_view request, zygos::ResponseBuilder& response);
 // tpcc-mix: the standard five-transaction deck (45/43/4/4/4) against one warehouse,
 // inputs drawn per the spec (NURand customers and items, 60 % by-name selections, 1 %
 // NewOrder rollbacks). An answer must carry the request's transaction type and be
-// committed; a requested rollback must come back as a user abort, and a NewOrder may.
+// committed; a requested rollback must come back as a user abort, and a NewOrder may,
+// up to kMaxUnrequestedAbortShare of the NewOrders answered (CheckUnrequestedAborts).
 class TpccProtocol final : public Protocol {
  public:
+  // A NewOrder that races another on its district's next order id can come back as a
+  // user abort although no rollback was asked for (`TxnExecutor::Run` ends the
+  // transaction when its insert finds the order id taken, instead of retrying it).
+  // 1.7-2.1 % of NewOrders did in forty 25 s runs of this benchmark, and up to 3.0 %
+  // in earlier 15 s runs; the limit is about twice the usual share, so a run fails
+  // when the program turns clearly more NewOrders into aborts than it did when the
+  // limit was set.
+  static constexpr double kMaxUnrequestedAbortShare = 0.04;
+
   TpccProtocol(uint64_t seed, int connections, const zygos::LoaderOptions& scale);
 
   void NextRequest(int conn, std::string& payload, Tag& tag) override;
@@ -84,6 +94,10 @@ class TpccProtocol final : public Protocol {
   uint64_t user_aborts() const { return user_aborts_; }
   // NewOrders that came back rolled back although no rollback was requested.
   uint64_t unrequested_aborts() const { return unrequested_aborts_; }
+  uint64_t new_orders() const { return new_orders_; }
+  // Empty when at most kMaxUnrequestedAbortShare of the NewOrders answered so far came
+  // back rolled back unasked, else why not.
+  std::string CheckUnrequestedAborts() const;
 
  private:
   int32_t NuRand(SplitMix& rng, int32_t a, int32_t x, int32_t y) const;
@@ -93,6 +107,7 @@ class TpccProtocol final : public Protocol {
   uint64_t commits_ = 0;
   uint64_t user_aborts_ = 0;
   uint64_t unrequested_aborts_ = 0;
+  uint64_t new_orders_ = 0;  // NewOrders answered, committed or rolled back
 };
 
 // TPC-C clause 3.3 consistency conditions 1-3 over every district of the loaded

@@ -168,6 +168,37 @@ TEST(TpccProtocolTest, RejectsWrongTypesStatusesAndLengths) {
   EXPECT_TRUE(saw_rollback);
 }
 
+// Answers `count` NewOrders (none asked to roll back), the first `aborted` of them as
+// user aborts, and returns the protocol's verdict on the unrequested-abort share.
+std::string UnrequestedAbortVerdict(int count, int aborted) {
+  TpccProtocol protocol(/*seed=*/5, /*connections=*/1, zygos::LoaderOptions::Tiny(1));
+  std::string payload;
+  int answered = 0;
+  while (answered < count) {
+    Tag tag;
+    protocol.NextRequest(0, payload, tag);
+    if (tag.kind != static_cast<uint8_t>(zygos::TpccTxnType::kNewOrder) || tag.flag != 0) {
+      continue;
+    }
+    auto status = answered < aborted ? zygos::TpccWireStatus::kUserAbort
+                                     : zygos::TpccWireStatus::kCommitted;
+    std::string answer = {static_cast<char>(status), static_cast<char>(tag.kind), 0, 0};
+    EXPECT_EQ(protocol.Check(0, tag, answer), nullptr);
+    answered++;
+  }
+  EXPECT_EQ(protocol.new_orders(), static_cast<uint64_t>(count));
+  EXPECT_EQ(protocol.unrequested_aborts(), static_cast<uint64_t>(aborted));
+  return protocol.CheckUnrequestedAborts();
+}
+
+TEST(TpccProtocolTest, BoundsTheShareOfNewOrdersRolledBackUnasked) {
+  EXPECT_EQ(UnrequestedAbortVerdict(1000, 0), "");
+  EXPECT_EQ(UnrequestedAbortVerdict(1000, 21), "");  // the share seen in real runs
+  EXPECT_EQ(UnrequestedAbortVerdict(1000, 40), "");  // exactly at the limit
+  EXPECT_NE(UnrequestedAbortVerdict(1000, 41), "");
+  EXPECT_NE(UnrequestedAbortVerdict(1000, 800), "");  // most NewOrders turned into aborts
+}
+
 // --- TPC-C consistency -------------------------------------------------------------
 
 class ConsistencyTest : public ::testing::Test {
